@@ -52,25 +52,20 @@
 //	                             warm-start the dual simplex from the parent
 //	                             basis and fall back to a cold solve when the
 //	                             basis is incompatible
-//	internal/lp                  bounded-variable primal + dual simplex. One
-//	                             shared driver (pricing, ratio tests, phases,
-//	                             lexicographic canonicalization) runs over a
-//	                             pluggable basis-inverse core: the default
-//	                             sparse revised core stores A in compressed
-//	                             sparse columns and maintains B⁻¹ as an LU-style
-//	                             eta file — refactorized every RefactorEvery
-//	                             pivots or on drift, product-form update etas
-//	                             in between, FTRAN/BTRAN solves for columns,
-//	                             rows and pricing — while the dense tableau
-//	                             core remains as the baseline. Pivot rules:
-//	                             Dantzig, Bland, Devex, projected steepest
-//	                             edge; bases are exportable for warm starts
-//	                             and every core × rule × warm/cold combination
-//	                             returns the byte-identical canonical vertex
+//	internal/lp                  bounded-variable primal + dual simplex on one
+//	                             sparse revised core: A in compressed sparse
+//	                             columns, B⁻¹ as an LU-style eta file —
+//	                             refactorized every RefactorEvery pivots or on
+//	                             drift, product-form update etas in between,
+//	                             FTRAN/BTRAN solves for columns, rows and
+//	                             pricing. Dantzig pricing, with Bland's rule
+//	                             as the anti-cycling fallback; lexicographic
+//	                             canonicalization of every optimum; bases are
+//	                             exportable for warm starts, and warm and cold
+//	                             solves return the byte-identical vertex
 //	internal/lp/benchharness     pivot-level benchmark matrix behind
-//	                             rficbench -lp-compare: core × pivot rule ×
-//	                             warm/cold × workers, byte-equality,
-//	                             pivot-regression and pivot-time checks
+//	                             rficbench -lp-compare: warm/cold × workers,
+//	                             byte-equality and pivot-regression checks
 //	internal/faultinject         seeded deterministic fault-injection registry
 //	                             (named points, per-point probability/budget);
 //	                             a fixed seed replays the identical fault
@@ -101,8 +96,8 @@
 // which layout — comes back. On top of that, internal/lp canonicalizes
 // every optimal solution to the lexicographically smallest vertex of its
 // optimal face, so the reported X is independent of the pivot path
-// entirely: warm-started, cold-started, and differently-ruled solves all
-// return the byte-identical layout. The one caveat: a binding time limit
+// entirely: warm-started and cold-started solves return the byte-identical
+// layout. The one caveat: a binding time limit
 // (or cancellation) interrupts the search at a timing-dependent point, so
 // only runs whose limits do not bind are comparable —
 // pilp.Options.StripNodeLimit offers a deterministic node budget as the

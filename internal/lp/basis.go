@@ -190,18 +190,3 @@ func (s *simplex) dualFeasible() bool {
 	}
 	return true
 }
-
-// rawRow writes the unfactorized constraint row i — structural coefficients,
-// the +1 slack, and any artificial columns of that row — into dst, which must
-// be zeroed and of length s.n.
-func (s *simplex) rawRow(i int, dst []float64) {
-	for _, e := range s.prob.Constraints[i].Row {
-		dst[e.Var] += e.Coef
-	}
-	dst[s.nStruct+i] = 1
-	for k, r := range s.artRow {
-		if r == i {
-			dst[s.artStart+k] = s.artSign[k]
-		}
-	}
-}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"rficlayout/internal/geom"
-	"rficlayout/internal/lp"
 	"rficlayout/internal/netlist"
 	"rficlayout/internal/pilp"
 	"rficlayout/internal/tech"
@@ -24,9 +23,7 @@ func loadTwostage(t *testing.T) *netlist.Circuit {
 }
 
 // miniCircuit mirrors pilp's full-flow determinism fixture: small enough
-// that no solve ever hits a time limit (a binding limit is the one
-// legitimate source of nondeterminism, which would void the byte-equality
-// checks the harness makes).
+// that its flow solves in well under a second.
 func miniCircuit() *netlist.Circuit {
 	c := netlist.NewCircuit("mini", tech.Default90nm(), geom.FromMicrons(420), geom.FromMicrons(320))
 	d := netlist.NewDevice("M1", netlist.Transistor, geom.FromMicrons(40), geom.FromMicrons(30))
@@ -47,7 +44,9 @@ func miniCircuit() *netlist.Circuit {
 // TestCompareFullFlow runs the full matrix over the complete three-phase
 // flow on the mini circuit: every cell must produce the byte-identical
 // layout, the warm cells must actually warm-start, and no warm cell may
-// spend more pivots than its cold baseline.
+// spend more pivots than its cold baseline. Every search is cut by a
+// deterministic node budget, as in rficbench -lp-compare, so the
+// byte-equality check does not depend on machine speed.
 func TestCompareFullFlow(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full matrix of flow solves in -short mode")
@@ -57,8 +56,8 @@ func TestCompareFullFlow(t *testing.T) {
 		Options: pilp.Options{
 			ChainPoints:         3,
 			MaxChainPoints:      4,
-			StripTimeLimit:      20 * time.Second,
-			PhaseTimeLimit:      30 * time.Second,
+			StripNodeLimit:      25,
+			Phase1NodeLimit:     1000,
 			MaxRefineIterations: 1,
 		},
 		Workers: []int{1, 4},
@@ -66,7 +65,7 @@ func TestCompareFullFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := 2 * len(lp.PivotRules()) * 2; len(rep.Runs) != want {
+	if want := 2 * 2; len(rep.Runs) != want {
 		t.Fatalf("got %d runs, want %d", len(rep.Runs), want)
 	}
 	if ms := rep.Mismatches(); len(ms) > 0 {
@@ -88,11 +87,11 @@ func TestCompareFullFlow(t *testing.T) {
 	if warmHits == 0 {
 		t.Error("no warm-start hits in any warm cell")
 	}
-	if red := rep.PivotReduction(lp.PivotDantzig); red < 1 {
-		t.Errorf("default-rule pivot reduction %.2fx, want >= 1x", red)
+	if red := rep.PivotReduction(); red < 1 {
+		t.Errorf("warm-start pivot reduction %.2fx, want >= 1x", red)
 	}
 	table := rep.Table()
-	for _, want := range []string{"dantzig", "bland", "devex", "warm", "cold", "pivot reduction"} {
+	for _, want := range []string{"warm", "cold", "pivot reduction"} {
 		if !strings.Contains(table, want) {
 			t.Errorf("table missing %q:\n%s", want, table)
 		}
@@ -106,7 +105,6 @@ func TestComparePhase1Twostage(t *testing.T) {
 	rep, err := Compare(context.Background(), Config{
 		Circuit:    loadTwostage(t),
 		Options:    pilp.Options{PhaseTimeLimit: 2 * time.Minute},
-		Rules:      []lp.PivotRule{lp.PivotDantzig},
 		Workers:    []int{1},
 		Phase1Only: true,
 	})

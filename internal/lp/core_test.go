@@ -26,7 +26,7 @@ func chainProblem(n int) *Problem {
 	return p
 }
 
-// TestEtaChainCapRespected: RefactorEvery caps the sparse core's update-eta
+// TestEtaChainCapRespected: RefactorEvery caps the core's update-eta
 // chain — a solve long enough to cross the cap many times must report a peak
 // chain no longer than the cap, more refactorizations than the default
 // cadence, and the same optimum.
@@ -68,7 +68,7 @@ func TestDriftTriggersRefactorization(t *testing.T) {
 	x := tiny.AddVariable("x", 0, 10, -1)
 	tiny.AddConstraint("c", []Entry{{x, 1e-8}}, LE, 1e-8)
 
-	sol := solveOrFatal(t, tiny, Options{Core: CoreSparse})
+	sol := solveOrFatal(t, tiny, Options{})
 	if math.Abs(sol.X[0]-1) > 1e-6 {
 		t.Errorf("x = %g, want 1", sol.X[0])
 	}
@@ -81,7 +81,7 @@ func TestDriftTriggersRefactorization(t *testing.T) {
 	scaled := NewProblem()
 	xs := scaled.AddVariable("x", 0, 10, -1)
 	scaled.AddConstraint("c", []Entry{{xs, 1}}, LE, 1)
-	ssol := solveOrFatal(t, scaled, Options{Core: CoreSparse})
+	ssol := solveOrFatal(t, scaled, Options{})
 	if ssol.Refactorizations != 3 {
 		t.Errorf("well-scaled solve refactorized %d times, want exactly 3", ssol.Refactorizations)
 	}
@@ -108,25 +108,24 @@ func TestSingularWarmBasisFallsBackCold(t *testing.T) {
 		Basic:  []int32{0, 1},
 		Status: []BasisStatus{BasisBasic, BasisBasic, BasisAtLower, BasisAtLower},
 	}
-	for _, core := range Cores() {
-		ref := solveOrFatal(t, p, Options{Core: core})
-		sol := solveOrFatal(t, p, Options{Core: core, WarmBasis: singular})
-		if sol.Status != StatusOptimal {
-			t.Fatalf("core %s: status = %v", core, sol.Status)
-		}
-		if sol.WarmStarted {
-			t.Errorf("core %s: solve claims a warm start from a singular basis", core)
-		}
-		if math.Abs(sol.Objective-ref.Objective) > 1e-9 {
-			t.Errorf("core %s: fallback objective %g, cold reference %g", core, sol.Objective, ref.Objective)
-		}
+	ref := solveOrFatal(t, p, Options{})
+	sol := solveOrFatal(t, p, Options{WarmBasis: singular})
+	if sol.Status != StatusOptimal {
+		t.Fatalf("status = %v", sol.Status)
+	}
+	if sol.WarmStarted {
+		t.Error("solve claims a warm start from a singular basis")
+	}
+	if math.Abs(sol.Objective-ref.Objective) > 1e-9 {
+		t.Errorf("fallback objective %g, cold reference %g", sol.Objective, ref.Objective)
 	}
 }
 
-// TestCoresAgreeOnIllConditioned: a Hilbert-matrix LP is about as badly
-// conditioned as small dense problems get; both cores under every pivot rule
-// must still land on the same canonicalized optimum.
-func TestCoresAgreeOnIllConditioned(t *testing.T) {
+// TestIllConditionedGoldenVertex: a Hilbert-matrix LP is about as badly
+// conditioned as small dense problems get; the solver must still land on the
+// canonical optimum that the retired dense tableau core and every retired
+// pricing rule agreed on, and land on it identically when solved again.
+func TestIllConditionedGoldenVertex(t *testing.T) {
 	const n = 6
 	p := NewProblem()
 	vars := make([]int, n)
@@ -144,25 +143,27 @@ func TestCoresAgreeOnIllConditioned(t *testing.T) {
 		p.AddConstraint(fmt.Sprintf("r%d", i), row, LE, rhs)
 	}
 
-	var ref *Solution
-	for _, core := range Cores() {
-		for _, rule := range PivotRules() {
-			sol := solveOrFatal(t, p, Options{Core: core, Pivot: rule})
-			if sol.Status != StatusOptimal {
-				t.Fatalf("%s/%s: status = %v", core, rule, sol.Status)
-			}
-			if ref == nil {
-				ref = sol
-				continue
-			}
-			if math.Abs(sol.Objective-ref.Objective) > 1e-6 {
-				t.Errorf("%s/%s: objective %g, reference %g", core, rule, sol.Objective, ref.Objective)
-			}
-			for j := range ref.X {
-				if math.Abs(sol.X[j]-ref.X[j]) > 1e-6 {
-					t.Errorf("%s/%s: x[%d] = %g, reference %g", core, rule, j, sol.X[j], ref.X[j])
-				}
-			}
+	// x5 = Σ_{j<6} 1/(6+j) saturates row r5; every other variable is zero.
+	golden := []float64{0, 0, 0, 0, 0, 8.101984126984128}
+	const goldenObj = -8.101984126984128
+
+	sol := solveOrFatal(t, p, Options{})
+	if sol.Status != StatusOptimal {
+		t.Fatalf("status = %v", sol.Status)
+	}
+	if math.Abs(sol.Objective-goldenObj) > 1e-6 {
+		t.Errorf("objective %g, golden %g", sol.Objective, goldenObj)
+	}
+	for j := range golden {
+		if math.Abs(sol.X[j]-golden[j]) > 1e-6 {
+			t.Errorf("x[%d] = %g, golden %g", j, sol.X[j], golden[j])
+		}
+	}
+	checkFeasible(t, p, sol.X)
+	again := solveOrFatal(t, p, Options{})
+	for j := range sol.X {
+		if again.X[j] != sol.X[j] {
+			t.Errorf("rerun x[%d] = %v, first solve %v", j, again.X[j], sol.X[j])
 		}
 	}
 }

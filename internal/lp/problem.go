@@ -7,7 +7,7 @@
 // variables), the three constraint senses, minimization objectives, and
 // reports optimal, infeasible, unbounded or iteration-limited outcomes.
 //
-// Two algorithms share one driver and one basis-inverse engine (Options.Core):
+// Two algorithms share one driver and one basis-inverse engine:
 //
 //   - a primal simplex with a phase-1 artificial-variable start, used for
 //     cold solves;
@@ -15,23 +15,20 @@
 //     used by branch-and-bound to re-solve a child node from its parent's
 //     optimal basis after a single bound change, skipping phase 1 entirely.
 //
-// The default engine is a sparse revised simplex: the constraint matrix in
+// The engine is a sparse revised simplex: the constraint matrix in
 // compressed sparse column form, the basis inverse as an elimination-form LU
 // factorization held in product form (an eta sequence) with one product-form
 // eta appended per pivot, periodic refactorization, and FTRAN/BTRAN solves
-// producing tableau columns, pivot rows and reduced costs on demand. The
-// dense tableau core it replaced (T = B⁻¹·A materialized in full, every pivot
-// a full elimination) remains selectable as CoreDense — it is the benchmark
-// baseline and numerical cross-check; both cores return identical layouts.
+// producing tableau columns, pivot rows and reduced costs on demand.
 //
-// Pricing is pluggable through Options.Pivot (Dantzig, Bland, Devex and
-// projected steepest edge); every rule is deterministic, so the pivot
+// Pricing is Dantzig's rule, with Bland's rule as the anti-cycling fallback
+// after a run of degenerate pivots; both are deterministic, so the pivot
 // sequence — and therefore the returned vertex — is a pure function of
 // (problem, options). At optimality the solver additionally canonicalizes
 // degenerate optima by a lexicographic descent over zero-reduced-cost
 // directions and refactorizes the final basis from the raw problem data, so
 // warm- and cold-started solves of the same problem agree not just on the
-// objective but on the solution vector itself — whichever core or rule ran.
+// objective but on the solution vector itself.
 package lp
 
 import (
@@ -212,13 +209,12 @@ type Solution struct {
 	Iterations int
 	// Refactorizations counts full rebuilds of the basis inverse from the
 	// raw problem data: one per solve setup (cold start or accepted warm
-	// basis), two at optimality (before and after canonicalization), plus —
-	// on the sparse core — every periodic or drift-triggered rebuild of the
-	// eta chain between pivots.
+	// basis), two at optimality (before and after canonicalization), plus
+	// every periodic or drift-triggered rebuild of the eta chain between
+	// pivots.
 	Refactorizations int
-	// PeakEta is the longest product-form eta chain the sparse core carried
-	// between refactorizations (update etas only, not the factorization
-	// itself). Always zero on the dense core.
+	// PeakEta is the longest product-form eta chain the core carried between
+	// refactorizations (update etas only, not the factorization itself).
 	PeakEta int
 	// WarmStarted reports whether Options.WarmBasis was accepted and the
 	// solve ran the dual simplex from it instead of a phase-1 cold start.
@@ -240,21 +236,14 @@ type Options struct {
 	// Tolerance is the feasibility / optimality tolerance. Zero means 1e-7.
 	Tolerance float64
 	// RefactorEvery forces a basis-inverse refactorization every that many
-	// pivots. On the sparse core it doubles as the cap on the product-form
-	// eta chain between refactorizations. Zero means 64.
+	// pivots. It doubles as the cap on the product-form eta chain between
+	// refactorizations. Zero means 64.
 	RefactorEvery int
-	// Core selects the basis-inverse engine. The zero value is CoreSparse
-	// (the revised simplex); CoreDense selects the legacy dense tableau.
-	// Both produce identical solutions — see the package comment.
-	Core Core
 	// LowerOverride / UpperOverride, when non-nil, replace the bounds of the
 	// variables whose indices appear in the map. The branch-and-bound solver
 	// uses these to explore branches without copying the whole problem.
 	LowerOverride map[int]float64
 	UpperOverride map[int]float64
-	// Pivot selects the pricing rule of the primal simplex. The zero value
-	// is PivotDantzig.
-	Pivot PivotRule
 	// WarmBasis, when non-nil, is a basis exported by a previous solve of
 	// the same problem (typically with different bound overrides). If it is
 	// still dual-feasible under the new bounds the solve starts the dual

@@ -20,8 +20,7 @@ const (
 // cold start or dual warm start). The driver owns the problem data, bounds,
 // statuses, basic values and the incrementally maintained reduced-cost row;
 // the tableau quantities every decision needs — entering columns, pivot rows,
-// reduced costs from scratch — come from the pluggable basis-inverse core
-// (sparse revised simplex by default, dense tableau as the legacy baseline).
+// reduced costs from scratch — come from the sparse revised core.
 type simplex struct {
 	m, n    int // constraint and total column counts (structural + slack + artificial)
 	nStruct int // structural variable count
@@ -32,8 +31,7 @@ type simplex struct {
 	cost         []float64 // phase-2 cost per column
 	phase1Cost   []float64 // phase-1 cost per column (1 for artificials)
 
-	coreKind Core
-	core     tableauCore
+	core *sparseCore
 
 	beta     []float64   // current values of basic variables, one per row
 	basis    []int       // basic column per row
@@ -43,7 +41,6 @@ type simplex struct {
 
 	colBuf  []float64 // length m: entering tableau column for the current pivot
 	prowBuf []float64 // length n: pivot row for the current pivot
-	tauBuf  []float64 // length n: steepest-edge τ vector
 
 	// forcedInfeasible marks a subproblem whose bound overrides were
 	// contradictory (lower > upper); it is reported as infeasible without
@@ -59,14 +56,10 @@ type simplex struct {
 	maxIter    int
 	refresh    int
 
-	rule   PivotRule // primal pricing rule
-	devexW []float64 // devex reference weights, lazily initialized
-	steepW []float64 // steepest-edge reference weights γ, lazily initialized
-
 	refactorizations int
 
 	degenerate  int  // consecutive degenerate pivots
-	useBland    bool // anti-cycling mode
+	useBland    bool // anti-cycling mode: Bland's rule replaces Dantzig's
 	lexPivoting bool // inside lexCanonicalize: ratio-test ties break by index
 
 	// ctx, when non-nil, is polled every few pivots; cancellation aborts the
@@ -157,7 +150,7 @@ func SolveCtx(ctx context.Context, p *Problem, opts Options) (*Solution, error) 
 		WarmStarted:      warm,
 	}
 	if s.core != nil {
-		sol.PeakEta = s.core.peakEta()
+		sol.PeakEta = s.core.peak
 	}
 	if status == StatusOptimal && !s.forcedInfeasible {
 		sol.Basis = s.exportBasis()
@@ -182,13 +175,11 @@ func newSimplexBase(p *Problem, opts Options) (*simplex, error) {
 	m := len(p.Constraints)
 	nStruct := len(p.Variables)
 	s := &simplex{
-		m:        m,
-		nStruct:  nStruct,
-		prob:     p,
-		tol:      opts.tolerance(),
-		refresh:  opts.refactorEvery(),
-		rule:     opts.Pivot,
-		coreKind: opts.Core,
+		m:       m,
+		nStruct: nStruct,
+		prob:    p,
+		tol:     opts.tolerance(),
+		refresh: opts.refactorEvery(),
 	}
 	s.maxIter = opts.maxIterations(m, nStruct)
 
@@ -244,18 +235,12 @@ func newSimplexBase(p *Problem, opts Options) (*simplex, error) {
 func (s *simplex) initCore() {
 	s.colBuf = make([]float64, s.m)
 	s.prowBuf = make([]float64, s.n)
-	s.tauBuf = make([]float64, s.n)
-	switch s.coreKind {
-	case CoreDense:
-		s.core = newDenseCore(s)
-	default:
-		s.core = newSparseCore(s)
-	}
+	s.core = newSparseCore(s)
 }
 
 // refactorize rebuilds the core's basis-inverse representation (and with it
 // s.basis row assignment and s.beta) from the raw problem data; see
-// tableauCore.refactorize. The effort counter only counts successful builds.
+// sparseCore.refactorize. The effort counter only counts successful builds.
 func (s *simplex) refactorize() bool {
 	if !s.core.refactorize() {
 		return false

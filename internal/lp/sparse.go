@@ -16,7 +16,7 @@ type cscMatrix struct {
 
 // buildCSC assembles the matrix from the raw problem rows, after any
 // artificial columns have been added. Duplicate (row, variable) entries are
-// summed in declaration order, matching the dense rawRow accumulation.
+// summed in declaration order.
 func buildCSC(s *simplex) cscMatrix {
 	// Bucket the structural entries column by column. Rows are visited in
 	// ascending order, so each bucket's rows are non-decreasing and duplicate
@@ -191,8 +191,6 @@ func newSparseCore(s *simplex) *sparseCore {
 	return c
 }
 
-func (c *sparseCore) peakEta() int { return c.peak }
-
 // scatterColumn writes raw column j of A into the zeroed dense vector dst.
 func (c *sparseCore) scatterColumn(j int, dst []float64) {
 	for k := c.mat.ptr[j]; k < c.mat.ptr[j+1]; k++ {
@@ -200,6 +198,8 @@ func (c *sparseCore) scatterColumn(j int, dst []float64) {
 	}
 }
 
+// column writes the current tableau column T_j = B⁻¹·A_j into dst, which
+// has length m and arbitrary prior contents.
 func (c *sparseCore) column(j int, dst []float64) {
 	for i := range dst {
 		dst[i] = 0
@@ -208,6 +208,8 @@ func (c *sparseCore) column(j int, dst []float64) {
 	c.etas.ftran(dst)
 }
 
+// pivotRow writes row r of the current tableau B⁻¹·A into dst, which has
+// length n and arbitrary prior contents.
 func (c *sparseCore) pivotRow(r int, dst []float64) {
 	rho := c.work
 	for i := range rho {
@@ -226,6 +228,8 @@ func (c *sparseCore) pivotRow(r int, dst []float64) {
 	}
 }
 
+// reducedCosts writes d = c − c_Bᵀ·B⁻¹·A into dst (length n) from scratch,
+// reading the basic cost entries through the driver's basis.
 func (c *sparseCore) reducedCosts(cost []float64, dst []float64) {
 	s := c.s
 	y := c.work
@@ -251,25 +255,15 @@ func (c *sparseCore) reducedCosts(cost []float64, dst []float64) {
 	}
 }
 
-func (c *sparseCore) tau(x []float64, dst []float64) {
-	v := c.work
-	copy(v, x)
-	c.etas.btran(v)
-	mat := &c.mat
-	for j := 0; j < c.s.n; j++ {
-		acc := 0.0
-		for k := mat.ptr[j]; k < mat.ptr[j+1]; k++ {
-			acc += mat.val[k] * v[mat.idx[k]]
-		}
-		dst[j] = acc
-	}
-}
-
-// applyPivot appends the product-form update eta for the basis exchange —
-// B_new = B_old·E with E the identity except for column leaveRow = alpha —
-// then refactorizes when the chain hits its cap (Options.RefactorEvery) or
-// the pivot element signals drift. The eta is pushed before any rebuild is
-// attempted so a singular refactorization (numerically possible on
+// applyPivot installs the basis exchange the driver has already recorded in
+// s.basis/s.status — column enter became basic in row leaveRow, and alpha is
+// its tableau column under the pre-pivot basis — by appending the
+// product-form update eta B_new = B_old·E, with E the identity except for
+// column leaveRow = alpha. It then refactorizes when the chain hits its cap
+// (Options.RefactorEvery) or the pivot element signals drift, and reports
+// whether it did: the driver must then refresh its reduced costs, because
+// s.beta and the row assignment were rebuilt. The eta is pushed before any
+// rebuild is attempted so a singular refactorization (numerically possible on
 // pathological data, never for an exact basis) still leaves a valid, merely
 // longer, factorization behind.
 func (c *sparseCore) applyPivot(enter, leaveRow int, alpha []float64) bool {
@@ -285,11 +279,11 @@ func (c *sparseCore) applyPivot(enter, leaveRow int, alpha []float64) bool {
 
 // refactorize rebuilds the eta factorization from the raw matrix and the
 // driver's current basic set, then recomputes the basic values, making the
-// core state a pure function of the basic set. The elimination order mirrors
-// the dense core exactly: unit columns (slacks, artificials) pivot at their
-// home rows in ascending column order, then structural basis columns in
-// ascending index order pick their row by partial pivoting — the largest
-// partially-FTRANed magnitude among unassigned rows, lowest row on ties.
+// core state a pure function of the basic set. The elimination order: unit
+// columns (slacks, artificials) pivot at their home rows in ascending column
+// order, then structural basis columns in ascending index order pick their
+// row by partial pivoting — the largest partially-FTRANed magnitude among
+// unassigned rows, lowest row on ties.
 // Returns false (old factorization untouched) when the basis is singular.
 func (c *sparseCore) refactorize() bool {
 	const pivTol = 1e-9

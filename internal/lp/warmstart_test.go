@@ -138,15 +138,16 @@ func TestWarmStartSkipsPhase1Work(t *testing.T) {
 	}
 }
 
-// TestPivotRulesOnDegenerateLP is the satellite table test: every pricing
-// rule must reach the documented optimum of a degenerate LP (the Beale
-// cycling example plus a flat-objective face) and, thanks to the
-// lexicographic canonicalization pass, the exact same vertex.
-func TestPivotRulesOnDegenerateLP(t *testing.T) {
+// TestDegenerateLPGoldenVertex: the solver must reach the documented optimum
+// of a degenerate LP (the Beale cycling example, a flat-objective face, a
+// degenerate transportation corner) at exactly the canonical vertex that the
+// retired dense tableau core and every retired pricing rule agreed on.
+func TestDegenerateLPGoldenVertex(t *testing.T) {
 	cases := []struct {
-		name  string
-		build func() *Problem
-		obj   float64
+		name   string
+		build  func() *Problem
+		obj    float64
+		golden []float64
 	}{
 		{
 			// Beale's cycling example; optimum -0.05 at z = 1.
@@ -162,7 +163,8 @@ func TestPivotRulesOnDegenerateLP(t *testing.T) {
 				p.AddConstraint("r3", []Entry{{z, 1}}, LE, 1)
 				return p
 			},
-			obj: -0.05,
+			obj:    -0.05,
+			golden: []float64{0.04, 0, 1, 0},
 		},
 		{
 			// min -(x+y) on x+y <= 4 with 0 <= x,y <= 4: the whole segment
@@ -176,7 +178,8 @@ func TestPivotRulesOnDegenerateLP(t *testing.T) {
 				p.AddConstraint("cap", []Entry{{x, 1}, {y, 1}}, LE, 4)
 				return p
 			},
-			obj: -4,
+			obj:    -4,
+			golden: []float64{0, 4},
 		},
 		{
 			// Degenerate transportation corner: supply equals demand, many
@@ -195,38 +198,31 @@ func TestPivotRulesOnDegenerateLP(t *testing.T) {
 				p.AddConstraint("d2", []Entry{{2, 1}, {5, 1}}, GE, 15)
 				return p
 			},
-			obj: 150,
+			obj:    150,
+			golden: []float64{5, 0, 15, 5, 25, 0},
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var ref []float64
-			for _, rule := range PivotRules() {
-				p := tc.build()
-				sol := solveOrFatal(t, p, Options{Pivot: rule})
-				if sol.Status != StatusOptimal {
-					t.Fatalf("%v: status %v", rule, sol.Status)
+			p := tc.build()
+			sol := solveOrFatal(t, p, Options{})
+			if sol.Status != StatusOptimal {
+				t.Fatalf("status %v", sol.Status)
+			}
+			if !approx(sol.Objective, tc.obj) {
+				t.Errorf("objective %g, want %g", sol.Objective, tc.obj)
+			}
+			checkFeasible(t, p, sol.X)
+			for j := range sol.X {
+				if sol.X[j] != tc.golden[j] {
+					t.Errorf("X[%d] = %v, golden %v", j, sol.X[j], tc.golden[j])
 				}
-				if !approx(sol.Objective, tc.obj) {
-					t.Errorf("%v: objective %g, want %g", rule, sol.Objective, tc.obj)
-				}
-				checkFeasible(t, p, sol.X)
-				// Same rule twice: bit-identical (determinism).
-				again := solveOrFatal(t, tc.build(), Options{Pivot: rule})
-				for j := range sol.X {
-					if sol.X[j] != again.X[j] {
-						t.Errorf("%v: rerun X[%d] %v != %v", rule, j, again.X[j], sol.X[j])
-					}
-				}
-				// Across rules: the canonicalized vertex is rule-independent.
-				if ref == nil {
-					ref = sol.X
-					continue
-				}
-				for j := range sol.X {
-					if sol.X[j] != ref[j] {
-						t.Errorf("%v: X[%d] = %v, dantzig got %v", rule, j, sol.X[j], ref[j])
-					}
+			}
+			// Solved twice: bit-identical (determinism).
+			again := solveOrFatal(t, tc.build(), Options{})
+			for j := range sol.X {
+				if sol.X[j] != again.X[j] {
+					t.Errorf("rerun X[%d] %v != %v", j, again.X[j], sol.X[j])
 				}
 			}
 		})
@@ -291,21 +287,6 @@ func TestWarmColdBitIdentical(t *testing.T) {
 					trial, k, warm.X[k], cold.X[k], warm.WarmStarted)
 			}
 		}
-	}
-}
-
-func TestParsePivotRule(t *testing.T) {
-	for _, rule := range PivotRules() {
-		got, err := ParsePivotRule(rule.String())
-		if err != nil || got != rule {
-			t.Errorf("ParsePivotRule(%q) = %v, %v", rule.String(), got, err)
-		}
-	}
-	if _, err := ParsePivotRule("steepest-descent"); err == nil {
-		t.Error("unknown rule accepted")
-	}
-	if r, err := ParsePivotRule(""); err != nil || r != PivotDantzig {
-		t.Errorf("empty rule: %v, %v", r, err)
 	}
 }
 

@@ -75,8 +75,7 @@ type SolveOptions struct {
 	// (the LP layer guarantees warm and cold solves agree); the switch
 	// exists for benchmarking and as an escape hatch.
 	DisableWarmLP bool
-	// LPOptions are passed to every LP relaxation solve. The pivot rule set
-	// here applies to all of them.
+	// LPOptions are passed to every LP relaxation solve.
 	LPOptions lp.Options
 	// Logf, when non-nil, receives progress messages.
 	Logf func(format string, args ...interface{})
@@ -130,8 +129,7 @@ type LPStats struct {
 	// DisableWarmLP is set.
 	ColdSolves int
 	// PeakEta is the longest product-form eta chain any node LP carried
-	// between refactorizations of the sparse core (zero on the dense core);
-	// aggregation takes the maximum, not the sum.
+	// between refactorizations; aggregation takes the maximum, not the sum.
 	PeakEta int
 }
 

@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"rficlayout/internal/lp"
 )
 
 // randomKnapsack builds a random 0-1 knapsack instance.
@@ -121,35 +119,5 @@ func TestWarmSeedCounters(t *testing.T) {
 	}
 	if res.WarmSeedAccepted != 0 || res.WarmSeedRejected != 0 {
 		t.Errorf("no seed: accepted=%d rejected=%d", res.WarmSeedAccepted, res.WarmSeedRejected)
-	}
-}
-
-func TestPivotRuleThreadsThroughSearch(t *testing.T) {
-	// Any pivot rule must reach the same optimum (vertices are canonicalized
-	// at the LP layer, so even X matches).
-	m := randomKnapsack(rand.New(rand.NewSource(3)))
-	var ref *Result
-	for _, rule := range []struct {
-		name string
-		opts SolveOptions
-	}{
-		{"dantzig", SolveOptions{}},
-		{"bland", SolveOptions{LPOptions: lp.Options{Pivot: lp.PivotBland}}},
-		{"devex", SolveOptions{LPOptions: lp.Options{Pivot: lp.PivotDevex}}},
-	} {
-		res, err := m.Solve(rule.opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Status != StatusOptimal {
-			t.Fatalf("%s: status %v", rule.name, res.Status)
-		}
-		if ref == nil {
-			ref = res
-			continue
-		}
-		if res.Objective != ref.Objective {
-			t.Errorf("%s: objective %v != %v", rule.name, res.Objective, ref.Objective)
-		}
 	}
 }

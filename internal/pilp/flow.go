@@ -83,19 +83,16 @@ type Options struct {
 	// boundary-strip endpoint and its pin) above which the owning shard is
 	// re-solved in the next coordination round. Zero means 2 µm.
 	ShardBoundaryTol geom.Coord
-	// PivotRule selects the simplex pricing rule for every LP solved by the
-	// flow's branch-and-bound trees (see lp.PivotRule); the zero value is
-	// Dantzig. The LP layer canonicalizes optimal vertices, so the rule does
-	// not change the layout — but it does change the pivot path and thus the
-	// effort counters, so it joins the Fingerprint conservatively rather
-	// than relying on that invariant.
-	PivotRule lp.PivotRule
-	// LPCore selects the simplex basis-inverse engine for every LP solved by
-	// the flow (see lp.Core); the zero value is the sparse revised core.
-	// Like PivotRule it is layout-invariant by the LP layer's vertex
-	// canonicalization, and like PivotRule it joins the Fingerprint
-	// conservatively because it changes the effort counters.
-	LPCore lp.Core
+	// PivotRule is never read: the LP layer has a single pricing rule.
+	//
+	// Deprecated: it remains so existing callers compile and will be
+	// removed.
+	PivotRule lp.PivotRule //lint:ignore SA1019 the deprecated field keeps its type
+	// LPCore is never read: the LP layer has a single basis-inverse core.
+	//
+	// Deprecated: it remains so existing callers compile and will be
+	// removed.
+	LPCore lp.Core //lint:ignore SA1019 the deprecated field keeps its type
 	// ColdLP disables warm-started LP re-solves inside branch-and-bound:
 	// every node LP solves from scratch instead of reusing its parent's
 	// basis. The layout is identical either way (the determinism contract
@@ -300,14 +297,12 @@ func (c *lpCounters) snapshot() LPStats {
 }
 
 // milpOptions is the shared translation from flow options to one MILP
-// solve's options: the pivot rule and the warm-LP switch apply to every
-// branch-and-bound tree the flow spawns, whatever its time limit or worker
-// count.
+// solve's options: the warm-LP switch applies to every branch-and-bound tree
+// the flow spawns, whatever its time limit or worker count.
 func (o Options) milpOptions(timeLimit time.Duration, workers int) milp.SolveOptions {
 	return milp.SolveOptions{
 		TimeLimit:     timeLimit,
 		Workers:       workers,
-		LPOptions:     lp.Options{Pivot: o.PivotRule, Core: o.LPCore},
 		DisableWarmLP: o.ColdLP,
 	}
 }
@@ -317,19 +312,20 @@ func (o Options) milpOptions(timeLimit time.Duration, workers int) milp.SolveOpt
 // defaults — two Options with equal fingerprints produce byte-identical
 // layouts for the same circuit. Workers and Logf are excluded (the
 // determinism contract makes them output-invariant); the time limits are
-// included because a binding limit changes the result. PivotRule, LPCore and
-// ColdLP are included conservatively: the LP layer's vertex canonicalization
-// makes them layout-invariant, but the cache never conflates them — they
-// change the reported effort counters, and defence in depth is cheap here.
+// included because a binding limit changes the result. ColdLP is included
+// conservatively: the LP layer's vertex canonicalization makes it
+// layout-invariant, but it changes the reported effort counters, and defence
+// in depth is cheap here.
 // AcceptPartial is excluded like Workers (see its doc: partial results are
 // never cached, and a completed AcceptPartial run is byte-identical to a
-// normal one). The result cache hashes this string alongside the canonical
-// circuit text.
+// normal one). The deprecated PivotRule and LPCore are excluded because
+// nothing reads them. The result cache hashes this string alongside the
+// canonical circuit text.
 func (o Options) Fingerprint() string {
-	return fmt.Sprintf("chain=%d maxchain=%d conf=%d pair=%d striplimit=%s phaselimit=%s stripnodes=%d p1nodes=%d refine=%d rot=%v shard=%d sharditer=%d shardtol=%d pivot=%s core=%s coldlp=%v",
+	return fmt.Sprintf("chain=%d maxchain=%d conf=%d pair=%d striplimit=%s phaselimit=%s stripnodes=%d p1nodes=%d refine=%d rot=%v shard=%d sharditer=%d shardtol=%d coldlp=%v",
 		o.chainPoints(), o.maxChainPoints(), o.confinement(), o.pairRadius(),
 		o.stripTimeLimit(), o.phaseTimeLimit(), o.StripNodeLimit, o.Phase1NodeLimit, o.refineIterations(), o.TryRotations,
-		o.ShardSize, o.shardIterations(), o.shardBoundaryTol(), o.PivotRule, o.LPCore, o.ColdLP)
+		o.ShardSize, o.shardIterations(), o.shardBoundaryTol(), o.ColdLP)
 }
 
 // runJobs dispatches independent subproblems to the shared bounded pool:

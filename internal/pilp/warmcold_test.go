@@ -157,8 +157,8 @@ func TestWarmColdLayoutIdenticalLargeFlow(t *testing.T) {
 		warm1.stats.WarmHits, warm1.stats.Solves())
 }
 
-// TestFingerprintCoversLPOptions pins that the cache key separates pivot
-// rules and warm/cold modes.
+// TestFingerprintCoversLPOptions pins that the cache key separates warm and
+// cold LP modes.
 func TestFingerprintCoversLPOptions(t *testing.T) {
 	base := Options{}
 	seen := map[string]string{base.Fingerprint(): "base"}
@@ -166,8 +166,6 @@ func TestFingerprintCoversLPOptions(t *testing.T) {
 		name string
 		opts Options
 	}{
-		{"bland", Options{PivotRule: 1}},
-		{"devex", Options{PivotRule: 2}},
 		{"cold", Options{ColdLP: true}},
 	} {
 		fp := tc.opts.Fingerprint()

@@ -6,12 +6,12 @@ import (
 )
 
 const oldArchive = `{"circuit":"lna94","runtime_ns":1000000000,"nodes":100,"lp_pivots":4000}
-{"circuit":"large","variant":"lp-dantzig-warm-w1","runtime_ns":2000000000,"nodes":50,"lp_pivots":1000}
+{"circuit":"large","variant":"lp-warm-w1","runtime_ns":2000000000,"nodes":50,"lp_pivots":1000}
 `
 
 const newArchive = `{"circuit":"lna94","runtime_ns":900000000,"nodes":100,"lp_pivots":3000}
-{"circuit":"large","variant":"lp-dantzig-warm-w1","runtime_ns":1500000000,"nodes":50,"lp_pivots":800}
-{"circuit":"large","variant":"lp-dantzig-cold-w1","runtime_ns":2500000000,"nodes":50,"lp_pivots":2400}
+{"circuit":"large","variant":"lp-warm-w1","runtime_ns":1500000000,"nodes":50,"lp_pivots":800}
+{"circuit":"large","variant":"lp-cold-w1","runtime_ns":2500000000,"nodes":50,"lp_pivots":2400}
 `
 
 func TestParseAccumulates(t *testing.T) {
@@ -44,7 +44,7 @@ func TestReportDeltas(t *testing.T) {
 	report(&b, []string{"old.jsonl", "new.jsonl"}, []map[string]point{old, cur}, "")
 	out := b.String()
 	for _, want := range []string{
-		"lna94", "large/lp-dantzig-warm-w1",
+		"lna94", "large/lp-warm-w1",
 		"-25.0%", // lna94 pivots 4000 -> 3000
 		"-20.0%", // warm pivots 1000 -> 800
 		"new",    // cold series only exists in the new archive
@@ -61,12 +61,12 @@ func TestReportSeriesFilter(t *testing.T) {
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	report(&b, []string{"a"}, []map[string]point{cur}, "lp-dantzig")
+	report(&b, []string{"a"}, []map[string]point{cur}, "lp-cold")
 	out := b.String()
-	if strings.Contains(out, "lna94") {
+	if strings.Contains(out, "lna94") || strings.Contains(out, "lp-warm-w1") {
 		t.Errorf("filter leaked unrelated series:\n%s", out)
 	}
-	if !strings.Contains(out, "lp-dantzig-cold-w1") {
+	if !strings.Contains(out, "lp-cold-w1") {
 		t.Errorf("filter dropped a matching series:\n%s", out)
 	}
 }
